@@ -73,6 +73,17 @@ impl<T: Real> BluesteinPlan<T> {
 
     /// In-place forward transform of `data` (`data.len() == n`).
     pub fn forward(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+        self.forward_kernels(data, scratch, true);
+    }
+
+    /// [`BluesteinPlan::forward`] with the inner plan's butterfly set
+    /// chosen by `simd` (see [`Plan::forward_scalar_with_scratch`]).
+    pub(crate) fn forward_kernels(
+        &self,
+        data: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+        simd: bool,
+    ) {
         assert_eq!(data.len(), self.n, "data length != plan length");
         assert!(scratch.len() >= self.scratch_len(), "scratch too small");
         let (a, inner_scratch) = scratch.split_at_mut(self.m);
@@ -86,11 +97,11 @@ impl<T: Real> BluesteinPlan<T> {
         }
 
         // Convolve with the kernel via the inner power-of-two plan.
-        self.inner.forward_with_scratch(a, inner_scratch);
+        self.inner.forward_kernels(a, inner_scratch, simd);
         for (v, &k) in a.iter_mut().zip(&self.kernel_fft) {
             *v *= k;
         }
-        self.inner.inverse_with_scratch(a, inner_scratch);
+        self.inner.inverse_kernels(a, inner_scratch, simd);
 
         // Demodulate the first n outputs.
         for (k, out) in data.iter_mut().enumerate() {

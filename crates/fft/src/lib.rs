@@ -7,7 +7,7 @@
 //!
 //! * **Small/medium transforms** ([`Plan`]): recursive decimation-in-time
 //!   Cooley–Tukey for power-of-two and smooth composite sizes (specialized
-//!   radix-2/3/4/5 butterflies, generic small-prime butterfly), and
+//!   radix-2/3/4/5/8 butterflies, generic small-prime butterfly), and
 //!   Bluestein's chirp-z algorithm for arbitrary sizes. These cover the
 //!   `F_L` segment transforms, whose size is the total segment count and
 //!   thus arbitrary.

@@ -9,7 +9,7 @@
 //!
 //! * `n == 1` — identity,
 //! * `n` smooth (largest prime factor ≤ [`MAX_RADIX`]) — recursive
-//!   decimation-in-time Cooley–Tukey with specialized radix-2/3/4/5
+//!   decimation-in-time Cooley–Tukey with specialized radix-2/3/4/5/8
 //!   butterflies and a generic small-prime butterfly,
 //! * anything else — Bluestein's chirp-z algorithm
 //!   ([`crate::bluestein`]).
@@ -17,15 +17,23 @@
 //! The recursion reads the (conceptually strided) input depth-first and
 //! writes contiguous output, which keeps each combine pass within the
 //! subarray produced by its children — the cache-oblivious layout that the
-//! 6-step algorithm then scales past LLC sizes.
+//! 6-step algorithm then scales past LLC sizes. Subtrees that fit in L1
+//! run level by level instead (see `Tree`).
+//!
+//! Twiddles are per-level contiguous tables indexed by plain offsets (no
+//! integer division on the hot path). The radix-2/4/5/8 combines are the
+//! [`soifft_num::butterfly`] kernels, AVX2 for `f64` where the host has
+//! it, and bit-identical to their scalar references either way, so a
+//! transform's output bits do not depend on the host or on
+//! `SOIFFT_FORCE_SCALAR`.
 
 use std::fmt;
 
+use soifft_num::butterfly;
 use soifft_num::factor::factorize;
 use soifft_num::{Complex, Real};
 
 use crate::bluestein::BluesteinPlan;
-use crate::twiddle::Twiddles;
 
 /// Largest prime handled by the generic Cooley–Tukey butterfly; larger
 /// prime factors route the whole transform to Bluestein.
@@ -74,11 +82,112 @@ pub struct Plan<T: Real = f64> {
 #[derive(Clone, Debug)]
 enum Kind<T: Real> {
     Identity,
-    CooleyTukey {
-        factors: Vec<usize>,
-        tw: Twiddles<T>,
-    },
+    CooleyTukey(Tree<T>),
     Bluestein(Box<BluesteinPlan<T>>),
+}
+
+/// Subtrees of at most this many points run level by level (see
+/// [`Tree`]); larger ones recurse depth-first.
+const FLAT_MAX: usize = 1024;
+
+/// The decimation-in-time factor tree of a Cooley–Tukey plan.
+///
+/// The top levels recurse depth-first — each combine works within the
+/// subarray its children just produced, the cache-oblivious layout the
+/// 6-step algorithm scales past LLC sizes. Once a subtree fits in
+/// [`FLAT_MAX`] points (`flat_depth`), it runs *flat*: its leaf DFTs are
+/// computed straight from the strided input, gathered in the recursion's
+/// own output order, and then each level below runs as one batched
+/// combine over all of the subtree's blocks. Every butterfly sees the same
+/// operands in the same order as in the recursion, so the bits do not
+/// depend on where the switch happens; the flat form just replaces a call
+/// per small node with one call per level and fills both vector lanes
+/// when a level has a single column.
+#[derive(Clone, Debug)]
+struct Tree<T: Real> {
+    /// One per combine, outermost first.
+    levels: Vec<Level<T>>,
+    /// First level of the flat subtrees (`levels.len()` when the whole
+    /// plan is a single leaf).
+    flat_depth: usize,
+    /// Leaf length at the bottom of the tree: 1, 2 or 4.
+    leaf: usize,
+    /// For leaf block `q` of a flat subtree, the offset (in units of the
+    /// subtree's input stride) of its first input sample.
+    gather: Vec<u32>,
+}
+
+/// One decimation-in-time level of the factor tree: an `n = r·m`-point
+/// combine and its twiddles.
+///
+/// `tw[(j−1)·m + k] = w_n^{jk}` for `1 ≤ j < r`, `k < m` — the
+/// [`soifft_num::butterfly`] layout. Each entry is exactly the value a
+/// full root-length table holds at index `j·k·(N/n)`, so lookups are
+/// plain offsets instead of a `%` per twiddle. A level stores
+/// `n − n/r` entries, and the levels telescope to fewer than `N` in
+/// total: no more than the single full-size table they replace.
+#[derive(Clone, Debug)]
+struct Level<T: Real> {
+    r: usize,
+    m: usize,
+    tw: Vec<Complex<T>>,
+    /// Generic radices only: `rot[q] = w_r^q` (root-table index `q·N/r`).
+    rot: Vec<Complex<T>>,
+}
+
+impl<T: Real> Tree<T> {
+    /// The factor tree of a length-`big_n` transform with radix schedule
+    /// `factors`. The unrolled 2- and 4-point leaves need no level.
+    fn new(big_n: usize, factors: &[usize]) -> Self {
+        let root = |idx: usize| Complex::<T>::root_of_unity(big_n, idx as i64);
+        let mut levels = Vec::new();
+        let mut n = big_n;
+        let mut flat_depth = None;
+        for &r in factors {
+            if n == 2 || n == 4 {
+                break;
+            }
+            if n <= FLAT_MAX && flat_depth.is_none() {
+                flat_depth = Some(levels.len());
+            }
+            let m = n / r;
+            let ts = big_n / n;
+            let tw = (1..r)
+                .flat_map(|j| (0..m).map(move |k| root(j * k * ts)))
+                .collect();
+            let rot = match r {
+                2 | 3 | 4 | 5 | 8 => Vec::new(),
+                _ => (0..r).map(|q| root(q * (big_n / r))).collect(),
+            };
+            levels.push(Level { r, m, tw, rot });
+            n = m;
+        }
+        let flat_depth = flat_depth.unwrap_or(levels.len());
+        let radices: Vec<usize> = levels[flat_depth..].iter().map(|l| l.r).collect();
+        let mut gather = vec![0u32; radices.iter().product()];
+        fill_gather(&mut gather, 0, 1, &radices);
+        Tree {
+            levels,
+            flat_depth,
+            leaf: n,
+            gather,
+        }
+    }
+}
+
+/// Leaf-block input offsets of a flat subtree, in the order the recursion
+/// would write them: child `j` of a node with input offset `base` and
+/// stride `mult` starts at `base + j·mult` and strides by `mult·r`.
+fn fill_gather(gather: &mut [u32], base: usize, mult: usize, radices: &[usize]) {
+    match radices.split_first() {
+        None => gather[0] = base as u32,
+        Some((&r, rest)) => {
+            let m = gather.len() / r;
+            for (j, g) in gather.chunks_exact_mut(m).enumerate() {
+                fill_gather(g, base + j * mult, mult * r, rest);
+            }
+        }
+    }
 }
 
 impl<T: Real> Plan<T> {
@@ -133,10 +242,7 @@ impl<T: Real> Plan<T> {
             }
             Ok(Plan {
                 n,
-                kind: Kind::CooleyTukey {
-                    factors,
-                    tw: Twiddles::new(n),
-                },
+                kind: Kind::CooleyTukey(Tree::new(n, &factors)),
             })
         } else {
             Ok(Plan {
@@ -187,15 +293,36 @@ impl<T: Real> Plan<T> {
     /// Forward transform, in place, with caller-provided scratch
     /// (`scratch.len() >= self.scratch_len()`).
     pub fn forward_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+        self.forward_kernels(data, scratch, true);
+    }
+
+    /// [`Plan::forward_with_scratch`] pinned to the scalar butterflies
+    /// whatever the host supports. Bit-identical to the dispatched path by
+    /// contract; public so the parity suite can compare both paths in one
+    /// process (the dispatch decision is otherwise process-wide, see
+    /// [`soifft_num::simd::simd_active`]).
+    #[doc(hidden)]
+    pub fn forward_scalar_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+        self.forward_kernels(data, scratch, false);
+    }
+
+    /// The forward transform with the butterfly set chosen by `simd`
+    /// (`false` pins the scalar reference).
+    pub(crate) fn forward_kernels(
+        &self,
+        data: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+        simd: bool,
+    ) {
         assert_eq!(data.len(), self.n, "data length != plan length");
         match &self.kind {
             Kind::Identity => {}
-            Kind::CooleyTukey { factors, tw } => {
+            Kind::CooleyTukey(tree) => {
                 let (src, _) = scratch.split_at_mut(self.n);
                 src.copy_from_slice(data);
-                ct_recursive(src, 0, 1, data, self.n, factors, tw, self.n);
+                ct_recursive(src, 0, 1, data, 0, tree, simd);
             }
-            Kind::Bluestein(b) => b.forward(data, scratch),
+            Kind::Bluestein(b) => b.forward_kernels(data, scratch, simd),
         }
     }
 
@@ -205,9 +332,7 @@ impl<T: Real> Plan<T> {
         assert_eq!(output.len(), self.n, "output length != plan length");
         match &self.kind {
             Kind::Identity => output.copy_from_slice(input),
-            Kind::CooleyTukey { factors, tw } => {
-                ct_recursive(input, 0, 1, output, self.n, factors, tw, self.n);
-            }
+            Kind::CooleyTukey(tree) => ct_recursive(input, 0, 1, output, 0, tree, true),
             Kind::Bluestein(b) => {
                 output.copy_from_slice(input);
                 let mut scratch = self.make_scratch();
@@ -229,10 +354,20 @@ impl<T: Real> Plan<T> {
     /// (`ifft(x) = conj(fft(conj(x)))/n`), so every fast path is exercised
     /// by both directions.
     pub fn inverse_with_scratch(&self, data: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
+        self.inverse_kernels(data, scratch, true);
+    }
+
+    /// The inverse transform with the butterfly set chosen by `simd`.
+    pub(crate) fn inverse_kernels(
+        &self,
+        data: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+        simd: bool,
+    ) {
         for z in data.iter_mut() {
             *z = z.conj();
         }
-        self.forward_with_scratch(data, scratch);
+        self.forward_kernels(data, scratch, simd);
         let inv_n = T::from_f64(1.0 / self.n as f64);
         for z in data.iter_mut() {
             *z = z.conj().scale(inv_n);
@@ -240,175 +375,131 @@ impl<T: Real> Plan<T> {
     }
 }
 
-/// Recursive decimation-in-time step: computes the `n`-point DFT of the
-/// virtual sequence `src[src_off + i·stride]` into `dst[0..n]`.
+/// Recursive decimation-in-time step: computes the `dst.len()`-point DFT
+/// of the virtual sequence `src[src_off + i·stride]` into `dst`, the
+/// subtree rooted at level `depth` of `tree`.
 ///
-/// `factors` is the radix schedule for this level downward; `tw` is the
-/// shared full-size table for `big_n` (the root length), indexed with
-/// stride `big_n / n` at this level.
-#[allow(clippy::too_many_arguments)]
+/// `simd == false` pins the scalar butterflies (the parity oracle);
+/// otherwise the radix-2/4/5/8 combines go through the runtime-dispatched
+/// kernels.
 fn ct_recursive<T: Real>(
     src: &[Complex<T>],
     src_off: usize,
     stride: usize,
     dst: &mut [Complex<T>],
-    n: usize,
-    factors: &[usize],
-    tw: &Twiddles<T>,
-    big_n: usize,
+    depth: usize,
+    tree: &Tree<T>,
+    simd: bool,
 ) {
-    if n == 1 {
-        dst[0] = src[src_off];
+    if depth == tree.flat_depth {
+        flat(src, src_off, stride, dst, depth, tree, simd);
         return;
     }
-    // Unrolled leaves (§5.2.4 "we unroll the leaf of the FFT recursion"):
-    // computing the 2- and 4-point DFTs directly from the strided input
-    // skips two levels of call overhead per leaf.
-    if n == 2 {
-        let a = src[src_off];
-        let b = src[src_off + stride];
-        dst[0] = a + b;
-        dst[1] = a - b;
-        return;
-    }
-    if n == 4 {
-        let a = src[src_off];
-        let b = src[src_off + stride];
-        let c = src[src_off + 2 * stride];
-        let d = src[src_off + 3 * stride];
-        let s0 = a + c;
-        let s1 = a - c;
-        let s2 = b + d;
-        let s3 = (b - d).mul_neg_i();
-        dst[0] = s0 + s2;
-        dst[1] = s1 + s3;
-        dst[2] = s0 - s2;
-        dst[3] = s1 - s3;
-        return;
-    }
-    let r = factors[0];
-    let m = n / r;
-    debug_assert_eq!(r * m, n, "factor schedule does not divide n");
-
+    let level = &tree.levels[depth];
+    let r = level.r;
+    debug_assert_eq!(r * level.m, dst.len(), "factor schedule does not divide n");
     // Children: r interleaved sub-sequences, each of length m.
-    for j in 0..r {
+    for (j, child) in dst.chunks_exact_mut(level.m).enumerate() {
         ct_recursive(
             src,
             src_off + j * stride,
             stride * r,
-            &mut dst[j * m..(j + 1) * m],
-            m,
-            &factors[1..],
-            tw,
-            big_n,
+            child,
+            depth + 1,
+            tree,
+            simd,
         );
     }
+    combine(dst, level, simd);
+}
 
-    // Combine: for every k, gather the r children's k-th outputs, apply
-    // level twiddles w_n^{jk}, and run an r-point DFT across them.
-    let tw_stride = big_n / n;
-    match r {
-        2 => combine_radix2(dst, m, tw, tw_stride),
-        3 => combine_radix3(dst, m, tw, tw_stride),
-        4 => combine_radix4(dst, m, tw, tw_stride),
-        5 => combine_radix5(dst, m, tw, tw_stride),
-        8 => combine_radix8(dst, m, tw, tw_stride),
-        _ => combine_generic(dst, r, m, tw, tw_stride, n),
+/// A flat subtree (see [`Tree`]): leaf DFTs gathered from the strided
+/// input into recursion order, then one batched combine per level,
+/// innermost first.
+fn flat<T: Real>(
+    src: &[Complex<T>],
+    src_off: usize,
+    stride: usize,
+    dst: &mut [Complex<T>],
+    depth: usize,
+    tree: &Tree<T>,
+    simd: bool,
+) {
+    let leaf_stride = stride * tree.gather.len();
+    for (block, &g) in dst.chunks_exact_mut(tree.leaf).zip(&tree.gather) {
+        leaf(src, src_off + stride * g as usize, leaf_stride, block);
+    }
+    for level in tree.levels[depth..].iter().rev() {
+        combine(dst, level, simd);
     }
 }
 
-/// Radix-8 DIT butterfly, built from two radix-4 halves joined by
-/// `w_8 = (1−i)/√2` rotations — 8 outputs per column with all constants in
-/// registers (the unrolled-leaf / register-blocking style of §5.2.4).
-#[inline]
-fn combine_radix8<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
-    let inv_sqrt2 = T::from_f64(std::f64::consts::FRAC_1_SQRT_2);
-    let n_tw = tw.len();
-    for k in 0..m {
-        // Gather twiddled children.
-        let mut a = [Complex::<T>::ZERO; 8];
-        a[0] = dst[k];
-        for (j, slot) in a.iter_mut().enumerate().skip(1) {
-            *slot = tw.get(j * k * ts % n_tw) * dst[j * m + k];
+/// Combine: for every k, gather the r children's k-th outputs, apply
+/// level twiddles w_n^{jk}, and run an r-point DFT across them — over
+/// every `r·m` block of `dst`.
+fn combine<T: Real>(dst: &mut [Complex<T>], level: &Level<T>, simd: bool) {
+    let (r, m, tw) = (level.r, level.m, &level.tw[..]);
+    match (r, simd) {
+        (2, true) => butterfly::radix2(dst, m, tw),
+        (2, false) => butterfly::radix2_scalar(dst, m, tw),
+        (4, true) => butterfly::radix4(dst, m, tw),
+        (4, false) => butterfly::radix4_scalar(dst, m, tw),
+        (5, true) => butterfly::radix5(dst, m, tw),
+        (5, false) => butterfly::radix5_scalar(dst, m, tw),
+        (8, true) => butterfly::radix8(dst, m, tw),
+        (8, false) => butterfly::radix8_scalar(dst, m, tw),
+        _ => {
+            for block in dst.chunks_exact_mut(r * m) {
+                match r {
+                    3 => combine_radix3(block, m, tw),
+                    _ => combine_generic(block, r, m, tw, &level.rot),
+                }
+            }
         }
-        // Even half: radix-4 over a0,a2,a4,a6.
-        let e0 = a[0] + a[4];
-        let e1 = a[0] - a[4];
-        let e2 = a[2] + a[6];
-        let e3 = (a[2] - a[6]).mul_neg_i();
-        let x0 = e0 + e2;
-        let x1 = e1 + e3;
-        let x2 = e0 - e2;
-        let x3 = e1 - e3;
-        // Odd half: radix-4 over a1,a3,a5,a7.
-        let o0 = a[1] + a[5];
-        let o1 = a[1] - a[5];
-        let o2 = a[3] + a[7];
-        let o3 = (a[3] - a[7]).mul_neg_i();
-        let y0 = o0 + o2;
-        let y1 = o1 + o3;
-        let y2 = o0 - o2;
-        let y3 = o1 - o3;
-        // Join with w8^l rotations: w8 = (1−i)/√2, w8² = −i, w8³ = −(1+i)/√2.
-        let r1 = Complex::new((y1.re + y1.im) * inv_sqrt2, (y1.im - y1.re) * inv_sqrt2);
-        let r2 = y2.mul_neg_i();
-        let r3 = Complex::new((y3.im - y3.re) * inv_sqrt2, -(y3.re + y3.im) * inv_sqrt2);
-        dst[k] = x0 + y0;
-        dst[m + k] = x1 + r1;
-        dst[2 * m + k] = x2 + r2;
-        dst[3 * m + k] = x3 + r3;
-        dst[4 * m + k] = x0 - y0;
-        dst[5 * m + k] = x1 - r1;
-        dst[6 * m + k] = x2 - r2;
-        dst[7 * m + k] = x3 - r3;
+    }
+}
+
+/// Unrolled leaves (§5.2.4 "we unroll the leaf of the FFT recursion"):
+/// 1-, 2- and 4-point DFTs computed directly from the strided input.
+#[inline(always)]
+fn leaf<T: Real>(src: &[Complex<T>], src_off: usize, stride: usize, dst: &mut [Complex<T>]) {
+    match dst.len() {
+        1 => dst[0] = src[src_off],
+        2 => {
+            let a = src[src_off];
+            let b = src[src_off + stride];
+            dst[0] = a + b;
+            dst[1] = a - b;
+        }
+        _ => {
+            let a = src[src_off];
+            let b = src[src_off + stride];
+            let c = src[src_off + 2 * stride];
+            let d = src[src_off + 3 * stride];
+            let s0 = a + c;
+            let s1 = a - c;
+            let s2 = b + d;
+            let s3 = (b - d).mul_neg_i();
+            dst[0] = s0 + s2;
+            dst[1] = s1 + s3;
+            dst[2] = s0 - s2;
+            dst[3] = s1 - s3;
+        }
     }
 }
 
 #[inline]
-fn combine_radix2<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
-    let (e, o) = dst.split_at_mut(m);
-    for k in 0..m {
-        let t = tw.get(k * ts) * o[k];
-        let a = e[k];
-        e[k] = a + t;
-        o[k] = a - t;
-    }
-}
-
-#[inline]
-fn combine_radix4<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
-    // Split into the four children's output rows.
-    let (q01, q23) = dst.split_at_mut(2 * m);
-    let (q0, q1) = q01.split_at_mut(m);
-    let (q2, q3) = q23.split_at_mut(m);
-    for k in 0..m {
-        let a = q0[k];
-        let b = tw.get(k * ts) * q1[k];
-        let c = tw.get(2 * k * ts % tw.len()) * q2[k];
-        let d = tw.get(3 * k * ts % tw.len()) * q3[k];
-        // Radix-4 DIT butterfly (forward sign: w_4 = −i).
-        let s0 = a + c;
-        let s1 = a - c;
-        let s2 = b + d;
-        let s3 = (b - d).mul_neg_i();
-        q0[k] = s0 + s2;
-        q1[k] = s1 + s3;
-        q2[k] = s0 - s2;
-        q3[k] = s1 - s3;
-    }
-}
-
-#[inline]
-fn combine_radix3<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
+fn combine_radix3<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &[Complex<T>]) {
     // w_3 = e^{−2πi/3}: re = −1/2, im = −√3/2.
     let c_3 = T::from_f64(-0.5);
     let s_3 = T::from_f64(-0.866_025_403_784_438_6);
     let (q0, q12) = dst.split_at_mut(m);
     let (q1, q2) = q12.split_at_mut(m);
+    let (w1, w2) = tw.split_at(m);
     for k in 0..m {
         let a = q0[k];
-        let b = tw.get(k * ts) * q1[k];
-        let c = tw.get(2 * k * ts % tw.len()) * q2[k];
+        let b = w1[k] * q1[k];
+        let c = w2[k] * q2[k];
         let sum = b + c;
         let diff = b - c;
         // X0 = a + b + c
@@ -422,65 +513,35 @@ fn combine_radix3<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, t
     }
 }
 
-#[inline]
-fn combine_radix5<T: Real>(dst: &mut [Complex<T>], m: usize, tw: &Twiddles<T>, ts: usize) {
-    // w_5^k constants (forward sign).
-    let c1 = T::from_f64(0.309_016_994_374_947_45); // cos(2π/5)
-    let s1 = T::from_f64(-0.951_056_516_295_153_5); // −sin(2π/5)
-    let c2 = T::from_f64(-0.809_016_994_374_947_4); // cos(4π/5)
-    let s2 = T::from_f64(-0.587_785_252_292_473_1); // −sin(4π/5)
-    let n_tw = tw.len();
-    let (q0, rest) = dst.split_at_mut(m);
-    let (q1, rest) = rest.split_at_mut(m);
-    let (q2, rest) = rest.split_at_mut(m);
-    let (q3, q4) = rest.split_at_mut(m);
-    for k in 0..m {
-        let a0 = q0[k];
-        let a1 = tw.get(k * ts) * q1[k];
-        let a2 = tw.get(2 * k * ts % n_tw) * q2[k];
-        let a3 = tw.get(3 * k * ts % n_tw) * q3[k];
-        let a4 = tw.get(4 * k * ts % n_tw) * q4[k];
-        let t1 = a1 + a4;
-        let t2 = a2 + a3;
-        let t3 = a1 - a4;
-        let t4 = a2 - a3;
-        q0[k] = a0 + t1 + t2;
-        // X1 = a0 + C1·t1 + C2·t2 + i(S1·t3 + S2·t4), X4 its mirror.
-        let r1 = a0 + t1 * c1 + t2 * c2;
-        let i1 = Complex::new(-(t3.im * s1 + t4.im * s2), t3.re * s1 + t4.re * s2);
-        // X2 = a0 + C2·t1 + C1·t2 + i(S2·t3 − S1·t4), X3 its mirror.
-        let r2 = a0 + t1 * c2 + t2 * c1;
-        let i2 = Complex::new(-(t3.im * s2 - t4.im * s1), t3.re * s2 - t4.re * s1);
-        q1[k] = r1 + i1;
-        q4[k] = r1 - i1;
-        q2[k] = r2 + i2;
-        q3[k] = r2 - i2;
-    }
-}
-
 /// Generic small-prime butterfly: an explicit r-point DFT per output
 /// column. O(r²) per column — acceptable for the r ≤ 31 primes this plan
-/// admits.
+/// admits. `rot[q] = w_r^q`; the exponent `j·l mod r` is stepped
+/// incrementally.
 fn combine_generic<T: Real>(
     dst: &mut [Complex<T>],
     r: usize,
     m: usize,
-    tw: &Twiddles<T>,
-    ts: usize,
-    n: usize,
+    tw: &[Complex<T>],
+    rot: &[Complex<T>],
 ) {
-    let n_tw = tw.len();
     let mut col_storage = [Complex::<T>::ZERO; MAX_RADIX + 1];
     let col = &mut col_storage[..r];
     for k in 0..m {
-        for (j, c) in col.iter_mut().enumerate() {
-            *c = tw.get(j * k * ts % n_tw) * dst[j * m + k];
+        // Row 0's twiddle is w^0 = rot[0]; the multiply is kept because
+        // `x·(1, 0)` is not a bitwise no-op for signed zeros.
+        col[0] = rot[0] * dst[k];
+        for (j, c) in col.iter_mut().enumerate().skip(1) {
+            *c = tw[(j - 1) * m + k] * dst[j * m + k];
         }
         for l in 0..r {
-            // w_n^{(n/r)·jl} = w_r^{jl}; reuse the shared table.
             let mut acc = col[0];
-            for (j, &c) in col.iter().enumerate().skip(1) {
-                acc += tw.get(j * l * (n / r) * ts % n_tw) * c;
+            let mut q = 0;
+            for &c in &col[1..] {
+                q += l;
+                if q >= r {
+                    q -= r;
+                }
+                acc += rot[q] * c;
             }
             dst[l * m + k] = acc;
         }

@@ -32,6 +32,7 @@
 
 use soifft_num::c64;
 use soifft_num::factor::balanced_split;
+use soifft_num::kernels::mul_pointwise;
 use soifft_num::transpose::{transpose, transpose_tile, TILE};
 use soifft_par::Pool;
 
@@ -93,28 +94,24 @@ enum TwiddleStore {
 }
 
 impl TwiddleStore {
-    /// `w^t` for an already-reduced index `t < n`.
-    #[inline(always)]
-    fn get(&self, t: usize) -> c64 {
-        match self {
-            TwiddleStore::Full(tw) => tw.get(t),
-            TwiddleStore::Dynamic(tw) => tw.get(t),
-        }
-    }
-
     /// Multiplies `row[c] *= w^{b·c}` for all `c`, stepping the exponent
-    /// incrementally (`t += b` with a conditional subtract) instead of a
-    /// division/modulo per element — the twiddle pass is bandwidth-critical
-    /// and a per-element `u128` modulo would dominate it.
+    /// incrementally instead of a division/modulo per element — the
+    /// twiddle pass is bandwidth-critical and a per-element modulo would
+    /// dominate it.
     fn scale_row(&self, row: &mut [c64], b: usize, n: usize) {
-        let step = b % n;
-        let mut t = 0usize;
-        for v in row.iter_mut() {
-            *v *= self.get(t);
-            t += step;
-            if t >= n {
-                t -= n;
+        match self {
+            TwiddleStore::Full(tw) => {
+                let step = b % n;
+                let mut t = 0usize;
+                for v in row.iter_mut() {
+                    *v *= tw.get(t);
+                    t += step;
+                    if t >= n {
+                        t -= n;
+                    }
+                }
             }
+            TwiddleStore::Dynamic(tw) => tw.mul_row(row, b),
         }
     }
 }
@@ -246,13 +243,13 @@ impl SixStepFft {
     /// scratch of the same length (ping-pong buffer).
     pub fn forward(&self, data: &mut [c64], aux: &mut [c64]) {
         let mut scratch = self.make_scratch();
-        self.forward_impl(data, aux, None, &mut scratch);
+        self.run(data, aux, None, &mut scratch, true);
     }
 
     /// [`SixStepFft::forward`] against caller-owned scratch: no heap
     /// allocation happens inside the call.
     pub fn forward_with(&self, data: &mut [c64], aux: &mut [c64], scratch: &mut SixStepScratch) {
-        self.forward_impl(data, aux, None, scratch);
+        self.run(data, aux, None, scratch, true);
     }
 
     /// Forward transform with a diagonal `scale` fused into the final
@@ -261,7 +258,7 @@ impl SixStepFft {
     pub fn forward_scaled(&self, data: &mut [c64], aux: &mut [c64], scale: &[c64]) {
         assert_eq!(scale.len(), self.n, "scale length != n");
         let mut scratch = self.make_scratch();
-        self.forward_impl(data, aux, Some(scale), &mut scratch);
+        self.run(data, aux, Some(scale), &mut scratch, true);
     }
 
     /// [`SixStepFft::forward_scaled`] against caller-owned scratch.
@@ -273,7 +270,7 @@ impl SixStepFft {
         scratch: &mut SixStepScratch,
     ) {
         assert_eq!(scale.len(), self.n, "scale length != n");
-        self.forward_impl(data, aux, Some(scale), scratch);
+        self.run(data, aux, Some(scale), scratch, true);
     }
 
     /// Inverse transform (normalized by `1/n`), via conjugation around the
@@ -283,28 +280,49 @@ impl SixStepFft {
         for z in data.iter_mut() {
             *z = z.conj();
         }
-        self.forward_impl(data, aux, None, &mut scratch);
+        self.run(data, aux, None, &mut scratch, true);
         let s = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.conj() * s;
         }
     }
 
-    fn forward_impl(
+    /// [`SixStepFft::forward_with`] / [`SixStepFft::forward_scaled_with`]
+    /// with the component plans pinned to their scalar butterflies (see
+    /// `Plan::forward_scalar_with_scratch`): bit-identical by contract,
+    /// public so the parity suite can compare both paths in one process.
+    #[doc(hidden)]
+    pub fn forward_scalar_with(
         &self,
         data: &mut [c64],
         aux: &mut [c64],
         scale: Option<&[c64]>,
         scratch: &mut SixStepScratch,
     ) {
+        if let Some(s) = scale {
+            assert_eq!(s.len(), self.n, "scale length != n");
+        }
+        self.run(data, aux, scale, scratch, false);
+    }
+
+    /// The transform with the component plans' butterfly set chosen by
+    /// `simd` (`false` pins the scalar reference).
+    fn run(
+        &self,
+        data: &mut [c64],
+        aux: &mut [c64],
+        scale: Option<&[c64]>,
+        scratch: &mut SixStepScratch,
+        simd: bool,
+    ) {
         assert_eq!(data.len(), self.n, "data length != n");
         assert_eq!(aux.len(), self.n, "aux length != n");
         match self.variant {
-            SixStepVariant::Naive => self.forward_naive(data, aux, scale, scratch),
+            SixStepVariant::Naive => self.forward_naive(data, aux, scale, scratch, simd),
             SixStepVariant::Fused | SixStepVariant::FusedDynamic => {
-                self.forward_fused(data, aux, scale, scratch)
+                self.forward_fused(data, aux, scale, scratch, simd)
             }
-            SixStepVariant::FusedParallel => self.forward_parallel(data, aux, scale, scratch),
+            SixStepVariant::FusedParallel => self.forward_parallel(data, aux, scale, scratch, simd),
         }
     }
 
@@ -315,13 +333,14 @@ impl SixStepFft {
         aux: &mut [c64],
         scale: Option<&[c64]>,
         scratch: &mut SixStepScratch,
+        simd: bool,
     ) {
         let (n1, n2) = (self.n1, self.n2);
         // Step 1: transpose n1×n2 → n2×n1 (aux[b][a]).
         transpose(data, aux, n1, n2);
         // Step 2: n2 rows of n1-point FFTs.
         for row in aux.chunks_exact_mut(n1) {
-            self.plan1.forward_with_scratch(row, &mut scratch.s1);
+            self.plan1.forward_kernels(row, &mut scratch.s1, simd);
         }
         // Step 3: twiddle B[b][c] *= W_N^{bc} (a separate full sweep).
         for (b, row) in aux.chunks_exact_mut(n1).enumerate() {
@@ -331,7 +350,7 @@ impl SixStepFft {
         transpose(aux, data, n2, n1);
         // Step 5: n1 rows of n2-point FFTs.
         for row in data.chunks_exact_mut(n2) {
-            self.plan2.forward_with_scratch(row, &mut scratch.s2);
+            self.plan2.forward_kernels(row, &mut scratch.s2, simd);
         }
         // Step 6: transpose n1×n2 → n2×n1; output natural order is d-major.
         transpose(data, aux, n1, n2);
@@ -351,6 +370,7 @@ impl SixStepFft {
         aux: &mut [c64],
         scale: Option<&[c64]>,
         scratch: &mut SixStepScratch,
+        simd: bool,
     ) {
         let (n1, n2) = (self.n1, self.n2);
         // Column stride padded past power-of-two alignments so the 8
@@ -377,7 +397,7 @@ impl SixStepFft {
             // fused).
             for gg in 0..g {
                 let col = &mut buf[gg * cs..gg * cs + n1];
-                self.plan1.forward_with_scratch(col, &mut scratch.s1);
+                self.plan1.forward_kernels(col, &mut scratch.s1, simd);
                 self.tw.scale_row(col, b0 + gg, self.n);
             }
             // Permuted write-back into the c-major intermediate:
@@ -399,7 +419,7 @@ impl SixStepFft {
             let rows = TILE.min(n1 - c0);
             for c in c0..c0 + rows {
                 self.plan2
-                    .forward_with_scratch(&mut aux[c * n2..(c + 1) * n2], &mut scratch.s2);
+                    .forward_kernels(&mut aux[c * n2..(c + 1) * n2], &mut scratch.s2, simd);
             }
             // data[d·n1 + c] = aux[c·n2 + d] (· scale[d·n1 + c]).
             let mut d0 = 0;
@@ -414,10 +434,10 @@ impl SixStepFft {
                     cols,
                 );
                 if let Some(s) = scale {
+                    // Still in L1: scale each just-written run of `rows`.
                     for d in d0..d0 + cols {
-                        for c in c0..c0 + rows {
-                            data[d * n1 + c] *= s[d * n1 + c];
-                        }
+                        let span = d * n1 + c0..d * n1 + c0 + rows;
+                        mul_pointwise(&mut data[span.clone()], &s[span]);
                     }
                 }
                 d0 += cols;
@@ -439,6 +459,7 @@ impl SixStepFft {
         aux: &mut [c64],
         scale: Option<&[c64]>,
         scratch: &mut SixStepScratch,
+        simd: bool,
     ) {
         let (n1, n2) = (self.n1, self.n2);
         let pool = &self.pool;
@@ -454,7 +475,7 @@ impl SixStepFft {
                     for (a, v) in col.iter_mut().enumerate() {
                         *v = data_ro[a * n2 + b];
                     }
-                    self.plan1.forward_with_scratch(col, &mut w.s1);
+                    self.plan1.forward_kernels(col, &mut w.s1, simd);
                     self.tw.scale_row(col, b, self.n);
                 }
             });
@@ -471,7 +492,7 @@ impl SixStepFft {
                     for (b, v) in row.iter_mut().enumerate() {
                         *v = aux_ro[b * n1 + c];
                     }
-                    self.plan2.forward_with_scratch(row, &mut w.s2);
+                    self.plan2.forward_kernels(row, &mut w.s2, simd);
                 }
             });
         }

@@ -10,6 +10,8 @@
 //!   precision through every layer above,
 //! * [`simd`] — runtime-detected AVX2 kernels for the hot loops, with
 //!   bit-identical scalar fallbacks,
+//! * [`butterfly`] — the local FFT's radix-2/4/8 combine butterflies over
+//!   division-free per-level twiddle tables (AVX2 for `f64`),
 //! * [`SoaComplex`] — "Struct of Arrays" complex storage plus conversions to
 //!   and from the interleaved "Array of Structs" layout (paper §5.2.4),
 //! * [`special`] — the special functions needed by the SOI window design
@@ -36,6 +38,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod butterfly;
 pub mod complex;
 pub mod dpss;
 pub mod error;

@@ -23,7 +23,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::complex::Complex;
-use crate::{kernels, transpose};
+use crate::{butterfly, kernels, transpose};
 
 mod sealed {
     pub trait Sealed {}
@@ -119,6 +119,30 @@ pub trait Real:
     ) {
         transpose::transpose_tile_scalar(src, src_stride, dst, dst_stride, rows, cols);
     }
+
+    /// Kernel hook: radix-2 FFT combine (see [`butterfly::radix2`]).
+    #[doc(hidden)]
+    fn kradix2(dst: &mut [Complex<Self>], m: usize, tw: &[Complex<Self>]) {
+        butterfly::radix2_scalar(dst, m, tw);
+    }
+
+    /// Kernel hook: radix-4 FFT combine (see [`butterfly::radix4`]).
+    #[doc(hidden)]
+    fn kradix4(dst: &mut [Complex<Self>], m: usize, tw: &[Complex<Self>]) {
+        butterfly::radix4_scalar(dst, m, tw);
+    }
+
+    /// Kernel hook: radix-5 FFT combine (see [`butterfly::radix5`]).
+    #[doc(hidden)]
+    fn kradix5(dst: &mut [Complex<Self>], m: usize, tw: &[Complex<Self>]) {
+        butterfly::radix5_scalar(dst, m, tw);
+    }
+
+    /// Kernel hook: radix-8 FFT combine (see [`butterfly::radix8`]).
+    #[doc(hidden)]
+    fn kradix8(dst: &mut [Complex<Self>], m: usize, tw: &[Complex<Self>]) {
+        butterfly::radix8_scalar(dst, m, tw);
+    }
 }
 
 impl Real for f64 {
@@ -189,6 +213,22 @@ impl Real for f64 {
         cols: usize,
     ) {
         crate::simd::transpose_tile_c64(src, src_stride, dst, dst_stride, rows, cols);
+    }
+    #[inline]
+    fn kradix2(dst: &mut [Complex<f64>], m: usize, tw: &[Complex<f64>]) {
+        crate::simd::radix2_c64(dst, m, tw);
+    }
+    #[inline]
+    fn kradix4(dst: &mut [Complex<f64>], m: usize, tw: &[Complex<f64>]) {
+        crate::simd::radix4_c64(dst, m, tw);
+    }
+    #[inline]
+    fn kradix5(dst: &mut [Complex<f64>], m: usize, tw: &[Complex<f64>]) {
+        crate::simd::radix5_c64(dst, m, tw);
+    }
+    #[inline]
+    fn kradix8(dst: &mut [Complex<f64>], m: usize, tw: &[Complex<f64>]) {
+        crate::simd::radix8_c64(dst, m, tw);
     }
 }
 

@@ -288,6 +288,66 @@ pub fn unpack_c32_pairs(src: &[c64], dst: &mut [c32]) {
     unpack_c32_pairs_scalar(src, dst);
 }
 
+/// Radix-2 FFT combine over `c64` (see [`crate::butterfly`] for the
+/// batch, data and twiddle layout). Two columns `k, k+1` per vector; an
+/// odd final column runs the scalar column formula.
+#[inline]
+pub fn radix2_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+    crate::butterfly::check(dst, 2, m, tw);
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: avx2+fma verified by `simd_active`; the batch layout
+        // (whole `r·m` blocks, `(r−1)·m` twiddles) is checked above.
+        unsafe { avx2::radix2_c64(dst, m, tw) };
+        return;
+    }
+    crate::butterfly::radix2_scalar(dst, m, tw);
+}
+
+/// Radix-4 FFT combine over `c64` (two columns per vector).
+#[inline]
+pub fn radix4_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+    crate::butterfly::check(dst, 4, m, tw);
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: avx2+fma verified by `simd_active`; the batch layout
+        // (whole `r·m` blocks, `(r−1)·m` twiddles) is checked above.
+        unsafe { avx2::radix4_c64(dst, m, tw) };
+        return;
+    }
+    crate::butterfly::radix4_scalar(dst, m, tw);
+}
+
+/// Radix-5 FFT combine over `c64`: two columns per vector, or two
+/// consecutive blocks per vector when `m == 1`.
+#[inline]
+pub fn radix5_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+    crate::butterfly::check(dst, 5, m, tw);
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: avx2+fma verified by `simd_active`; the batch layout
+        // (whole `r·m` blocks, `(r−1)·m` twiddles) is checked above.
+        unsafe { avx2::radix5_c64(dst, m, tw) };
+        return;
+    }
+    crate::butterfly::radix5_scalar(dst, m, tw);
+}
+
+/// Radix-8 FFT combine over `c64`: two columns per vector, or two
+/// consecutive blocks per vector when `m == 1`.
+#[inline]
+pub fn radix8_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+    crate::butterfly::check(dst, 8, m, tw);
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: avx2+fma verified by `simd_active`; the batch layout
+        // (whole `r·m` blocks, `(r−1)·m` twiddles) is checked above.
+        unsafe { avx2::radix8_c64(dst, m, tw) };
+        return;
+    }
+    crate::butterfly::radix8_scalar(dst, m, tw);
+}
+
 // ---------------------------------------------------------------------------
 // Scalar fallbacks whose accumulator structure mirrors the vector lanes
 // (the generic fallbacks in `kernels` cover the order-insensitive
@@ -752,6 +812,279 @@ mod avx2 {
             d += 1;
         }
     }
+
+    /// `z·(−i) = (z.im, −z.re)` per complex lane: a swap and a sign flip,
+    /// exactly the scalar `mul_neg_i`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX (guaranteed inside the AVX2 kernels).
+    #[inline(always)]
+    unsafe fn neg_i_pd(z: __m256d) -> __m256d {
+        _mm256_xor_pd(
+            _mm256_permute_pd(z, 0x5),
+            _mm256_set_pd(-0.0, 0.0, -0.0, 0.0),
+        )
+    }
+
+    /// Complex elements `a` (low lane) and `b` (high lane) of `p`.
+    ///
+    /// # Safety
+    /// AVX support; `p` must be valid for reads of complex elements `a`
+    /// and `b` (`2·max(a, b) + 2` doubles).
+    #[inline(always)]
+    unsafe fn load_pair(p: *const f64, a: usize, b: usize) -> __m256d {
+        let lo = _mm256_castpd128_pd256(_mm_loadu_pd(p.add(2 * a)));
+        _mm256_insertf128_pd(lo, _mm_loadu_pd(p.add(2 * b)), 1)
+    }
+
+    /// Stores the low lane of `v` to complex element `a` of `p` and the
+    /// high lane to element `b`.
+    ///
+    /// # Safety
+    /// AVX support; `p` must be valid for writes of complex elements `a`
+    /// and `b`.
+    #[inline(always)]
+    unsafe fn store_pair(p: *mut f64, a: usize, b: usize, v: __m256d) {
+        _mm_storeu_pd(p.add(2 * a), _mm256_castpd256_pd128(v));
+        _mm_storeu_pd(p.add(2 * b), _mm256_extractf128_pd(v, 1));
+    }
+
+    /// Radix-`R` combine driver over a batch of `R·m` blocks (layout of
+    /// `crate::butterfly`, checked by the dispatcher). Each step gathers
+    /// row `j` of two lanes into `x[j]` and row `j ≥ 1`'s twiddles into
+    /// `w[j−1]`, runs `core`, and writes the rows back:
+    ///
+    /// * `m ≥ 2`: lanes are adjacent columns `k, k+1` of one block (one
+    ///   256-bit access per row); an odd final column runs `col`;
+    /// * `m == 1`: lanes are two consecutive blocks sharing one twiddle
+    ///   column; an odd final block runs `col`.
+    ///
+    /// Bounds: with `dst.len() = B·R·m` and `tw.len() = (R−1)·m`, every
+    /// vector access touches elements `j·m + k` and `j·m + k + 1` of a
+    /// block with `k + 1 < m` (or elements `b·R + j`, `(b+1)·R + j` with
+    /// `b + 1 < B`), and twiddle rows `j < R − 1` — all in range.
+    ///
+    /// # Safety
+    /// AVX2 support, and the layout above (`dst.len()` a multiple of
+    /// `R·m`, `tw.len() == (R−1)·m`, `m ≥ 1`), which the dispatchers
+    /// assert through `crate::butterfly::check`.
+    #[inline(always)]
+    unsafe fn combine<const R: usize>(
+        dst: &mut [c64],
+        m: usize,
+        tw: &[c64],
+        core: impl Fn(&mut [__m256d; R], &[__m256d]),
+        col: fn(&mut [c64], usize, &[c64], usize),
+    ) {
+        let w = tw.as_ptr() as *const f64;
+        let mut x = [_mm256_setzero_pd(); R];
+        let mut wv = [_mm256_setzero_pd(); 8];
+        if m == 1 {
+            for (j, v) in wv.iter_mut().take(R - 1).enumerate() {
+                *v = load_pair(w, j, j);
+            }
+            let blocks = dst.len() / R;
+            let d = dst.as_mut_ptr() as *mut f64;
+            let mut b = 0;
+            while b + 2 <= blocks {
+                for (j, v) in x.iter_mut().enumerate() {
+                    *v = load_pair(d, b * R + j, (b + 1) * R + j);
+                }
+                core(&mut x, &wv);
+                for (j, &v) in x.iter().enumerate() {
+                    store_pair(d, b * R + j, (b + 1) * R + j, v);
+                }
+                b += 2;
+            }
+            if b < blocks {
+                col(&mut dst[b * R..], 1, tw, 0);
+            }
+            return;
+        }
+        for block in dst.chunks_exact_mut(R * m) {
+            let d = block.as_mut_ptr() as *mut f64;
+            let mut k = 0;
+            while k + 2 <= m {
+                for (j, v) in x.iter_mut().enumerate() {
+                    *v = _mm256_loadu_pd(d.add(2 * (j * m + k)));
+                }
+                for (j, v) in wv.iter_mut().take(R - 1).enumerate() {
+                    *v = _mm256_loadu_pd(w.add(2 * (j * m + k)));
+                }
+                core(&mut x, &wv);
+                for (j, &v) in x.iter().enumerate() {
+                    _mm256_storeu_pd(d.add(2 * (j * m + k)), v);
+                }
+                k += 2;
+            }
+            if k < m {
+                col(block, m, tw, k);
+            }
+        }
+    }
+
+    /// Radix-2 combine (see `combine`).
+    ///
+    /// # Safety
+    /// As for `combine` with `R = 2`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn radix2_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+        combine::<2>(
+            dst,
+            m,
+            tw,
+            |x, w| {
+                let t = cmul_pd(x[1], w[0]);
+                let a = x[0];
+                x[0] = _mm256_add_pd(a, t);
+                x[1] = _mm256_sub_pd(a, t);
+            },
+            crate::butterfly::radix2_col,
+        );
+    }
+
+    /// Radix-4 combine (see `combine`).
+    ///
+    /// # Safety
+    /// As for `combine` with `R = 4`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn radix4_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+        combine::<4>(
+            dst,
+            m,
+            tw,
+            |x, w| {
+                let a = x[0];
+                let b = cmul_pd(x[1], w[0]);
+                let c = cmul_pd(x[2], w[1]);
+                let d = cmul_pd(x[3], w[2]);
+                let s0 = _mm256_add_pd(a, c);
+                let s1 = _mm256_sub_pd(a, c);
+                let s2 = _mm256_add_pd(b, d);
+                let s3 = neg_i_pd(_mm256_sub_pd(b, d));
+                x[0] = _mm256_add_pd(s0, s2);
+                x[1] = _mm256_add_pd(s1, s3);
+                x[2] = _mm256_sub_pd(s0, s2);
+                x[3] = _mm256_sub_pd(s1, s3);
+            },
+            crate::butterfly::radix4_col,
+        );
+    }
+
+    /// Radix-5 combine (see `combine`).
+    ///
+    /// # Safety
+    /// As for `combine` with `R = 5`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn radix5_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+        let [c1, s1, c2, s2] = crate::butterfly::W5.map(|v| _mm256_set1_pd(v));
+        // `(−u.im, u.re)`: the scalar `Complex::new(−u.im, u.re)`.
+        let neg_re = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+        combine::<5>(
+            dst,
+            m,
+            tw,
+            |x, w| {
+                let a0 = x[0];
+                let a1 = cmul_pd(x[1], w[0]);
+                let a2 = cmul_pd(x[2], w[1]);
+                let a3 = cmul_pd(x[3], w[2]);
+                let a4 = cmul_pd(x[4], w[3]);
+                let t1 = _mm256_add_pd(a1, a4);
+                let t2 = _mm256_add_pd(a2, a3);
+                let t3 = _mm256_sub_pd(a1, a4);
+                let t4 = _mm256_sub_pd(a2, a3);
+                x[0] = _mm256_add_pd(_mm256_add_pd(a0, t1), t2);
+                let r1 = _mm256_add_pd(
+                    _mm256_add_pd(a0, _mm256_mul_pd(t1, c1)),
+                    _mm256_mul_pd(t2, c2),
+                );
+                let u1 = _mm256_add_pd(_mm256_mul_pd(t3, s1), _mm256_mul_pd(t4, s2));
+                let i1 = _mm256_xor_pd(_mm256_permute_pd(u1, 0x5), neg_re);
+                let r2 = _mm256_add_pd(
+                    _mm256_add_pd(a0, _mm256_mul_pd(t1, c2)),
+                    _mm256_mul_pd(t2, c1),
+                );
+                let u2 = _mm256_sub_pd(_mm256_mul_pd(t3, s2), _mm256_mul_pd(t4, s1));
+                let i2 = _mm256_xor_pd(_mm256_permute_pd(u2, 0x5), neg_re);
+                x[1] = _mm256_add_pd(r1, i1);
+                x[4] = _mm256_sub_pd(r1, i1);
+                x[2] = _mm256_add_pd(r2, i2);
+                x[3] = _mm256_sub_pd(r2, i2);
+            },
+            crate::butterfly::radix5_col,
+        );
+    }
+
+    /// Radix-8 combine (see `combine`).
+    ///
+    /// # Safety
+    /// As for `combine` with `R = 8`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn radix8_c64(dst: &mut [c64], m: usize, tw: &[c64]) {
+        let inv_sqrt2 = _mm256_set1_pd(std::f64::consts::FRAC_1_SQRT_2);
+        let neg_im = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
+        combine::<8>(
+            dst,
+            m,
+            tw,
+            |x, w| {
+                let a0 = x[0];
+                let a1 = cmul_pd(x[1], w[0]);
+                let a2 = cmul_pd(x[2], w[1]);
+                let a3 = cmul_pd(x[3], w[2]);
+                let a4 = cmul_pd(x[4], w[3]);
+                let a5 = cmul_pd(x[5], w[4]);
+                let a6 = cmul_pd(x[6], w[5]);
+                let a7 = cmul_pd(x[7], w[6]);
+                // Even half.
+                let e0 = _mm256_add_pd(a0, a4);
+                let e1 = _mm256_sub_pd(a0, a4);
+                let e2 = _mm256_add_pd(a2, a6);
+                let e3 = neg_i_pd(_mm256_sub_pd(a2, a6));
+                let x0 = _mm256_add_pd(e0, e2);
+                let x1 = _mm256_add_pd(e1, e3);
+                let x2 = _mm256_sub_pd(e0, e2);
+                let x3 = _mm256_sub_pd(e1, e3);
+                // Odd half.
+                let o0 = _mm256_add_pd(a1, a5);
+                let o1 = _mm256_sub_pd(a1, a5);
+                let o2 = _mm256_add_pd(a3, a7);
+                let o3 = neg_i_pd(_mm256_sub_pd(a3, a7));
+                let y0 = _mm256_add_pd(o0, o2);
+                let y1 = _mm256_add_pd(o1, o3);
+                let y2 = _mm256_sub_pd(o0, o2);
+                let y3 = _mm256_sub_pd(o1, o3);
+                // r1 = ((re+im)·c, (im−re)·c): sums against the swapped
+                // vector, blended per component.
+                let y1s = _mm256_permute_pd(y1, 0x5);
+                let r1 = _mm256_mul_pd(
+                    _mm256_blend_pd(_mm256_add_pd(y1, y1s), _mm256_sub_pd(y1, y1s), 0b1010),
+                    inv_sqrt2,
+                );
+                let r2 = neg_i_pd(y2);
+                // r3 = ((im−re)·c, (−(re+im))·c).
+                let y3s = _mm256_permute_pd(y3, 0x5);
+                let r3 = _mm256_mul_pd(
+                    _mm256_blend_pd(
+                        _mm256_sub_pd(y3s, y3),
+                        _mm256_xor_pd(_mm256_add_pd(y3, y3s), neg_im),
+                        0b1010,
+                    ),
+                    inv_sqrt2,
+                );
+                x[0] = _mm256_add_pd(x0, y0);
+                x[1] = _mm256_add_pd(x1, r1);
+                x[2] = _mm256_add_pd(x2, r2);
+                x[3] = _mm256_add_pd(x3, r3);
+                x[4] = _mm256_sub_pd(x0, y0);
+                x[5] = _mm256_sub_pd(x1, r1);
+                x[6] = _mm256_sub_pd(x2, r2);
+                x[7] = _mm256_sub_pd(x3, r3);
+            },
+            crate::butterfly::radix8_col,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -911,6 +1244,52 @@ mod tests {
             })
             .sum();
         assert!((got.re - want).abs() < 1e-12 * want.abs());
+    }
+
+    #[test]
+    fn fft_combines_match_scalar_bitwise() {
+        // Column pairs, odd-column tails, single-column block pairs and an
+        // odd final block; signed zeros and a `w^0 = (1, −0)` twiddle
+        // check that no multiply the scalar formula performs is skipped.
+        for (m, blocks) in [
+            (1usize, 1usize),
+            (1, 2),
+            (1, 5),
+            (2, 1),
+            (3, 2),
+            (5, 3),
+            (8, 1),
+        ] {
+            for r in [2usize, 4, 5, 8] {
+                let mut tw = v64((r - 1) * m, 0.4);
+                tw[0] = c64::new(1.0, -0.0);
+                let mut x = v64(r * m * blocks, 1.3);
+                x[0] = c64::new(-0.0, -0.5);
+                x[r * m * blocks - 1] = c64::new(0.0, -0.0);
+                let mut a = x.clone();
+                let mut b = x;
+                type Combine = fn(&mut [c64], usize, &[c64]);
+                let (vector, scalar): (Combine, Combine) = match r {
+                    2 => (radix2_c64, crate::butterfly::radix2_scalar),
+                    4 => (radix4_c64, crate::butterfly::radix4_scalar),
+                    5 => (radix5_c64, crate::butterfly::radix5_scalar),
+                    _ => (radix8_c64, crate::butterfly::radix8_scalar),
+                };
+                vector(&mut a, m, &tw);
+                scalar(&mut b, m, &tw);
+                let bits = |v: &[c64]| -> Vec<(u64, u64)> {
+                    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "r={r} m={m} blocks={blocks}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple")]
+    fn fft_combine_rejects_ragged_batch() {
+        let mut d = vec![c64::ZERO; 8 * 2 + 1];
+        radix8_c64(&mut d, 2, &[c64::ONE; 14]);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use soifft::cluster::{tags, Cluster, ExchangePolicy};
 use soifft::num::c64;
@@ -53,6 +54,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// The ledger is process-wide, but libtest runs this binary's tests on
+/// parallel threads. Every test holds this lock for its whole body, so no
+/// counting window ever sees a neighbouring test's allocations (the window
+/// itself stays process-wide: all ranks of the test under measurement
+/// still count). Poison-tolerant, so one failing test cannot cascade into
+/// spurious failures of the rest.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn params() -> SoiParams {
     SoiParams {
         n: 1 << 12,
@@ -84,6 +97,7 @@ const RECORDS_PER_CALL: usize = 64;
 /// cluster-wide barriers.
 #[test]
 fn forward_into_steady_state_allocates_nothing() {
+    let _serial = serial();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
@@ -152,6 +166,7 @@ fn forward_into_steady_state_allocates_nothing() {
 /// the same **zero** standard as the f64 default.
 #[test]
 fn lowprec_forward_into_steady_state_allocates_nothing() {
+    let _serial = serial();
     use soifft::soi::Precision;
 
     let params = params();
@@ -216,6 +231,7 @@ fn lowprec_forward_into_steady_state_allocates_nothing() {
 /// buffers per call would immediately blow through.
 #[test]
 fn try_forward_into_steady_state_allocations_are_bounded() {
+    let _serial = serial();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
@@ -276,6 +292,7 @@ fn try_forward_into_steady_state_allocations_are_bounded() {
 /// optimization, never a numerical fork.
 #[test]
 fn forward_into_is_bit_identical_to_forward() {
+    let _serial = serial();
     let params = params();
     let x = signal(params.n);
     let inputs = scatter_input(&x, params.procs);
@@ -321,6 +338,7 @@ fn forward_into_is_bit_identical_to_forward() {
 /// its outputs must match per-call `forward` exactly, element for element.
 #[test]
 fn forward_many_matches_repeated_forward_bitwise() {
+    let _serial = serial();
     let params = params();
     let fft = SoiFft::new(params).expect("valid params");
     let batch: Vec<Vec<c64>> = (0..3)
@@ -361,6 +379,7 @@ fn forward_many_matches_repeated_forward_bitwise() {
 /// immediately.
 #[test]
 fn serve_loop_steady_state_allocations_are_bounded() {
+    let _serial = serial();
     use soifft::serve::{ServeConfig, ServeEngine};
 
     let params = params();

@@ -12,9 +12,38 @@
 //! the CI matrix runs both configurations.
 
 use proptest::prelude::*;
+use soifft::fft::{Plan, SixStepFft, SixStepVariant};
+use soifft::num::butterfly;
 use soifft::num::kernels;
 use soifft::num::simd;
 use soifft::num::{c32, c64};
+use soifft::par::Pool;
+
+/// Plan lengths reaching every combine path: the 2/4-point leaves alone,
+/// radix 8 at one column (block-pair lanes), radix 3/5, the generic
+/// butterfly (7, 31), mixed schedules with odd column counts (640 =
+/// 8·8·2·5, 40, 12), a depth-first top over flat subtrees (4096), and
+/// Bluestein (37, through its power-of-two inner plan).
+const PLAN_LENS: [usize; 15] = [
+    2,
+    4,
+    8,
+    3,
+    5,
+    7,
+    31,
+    16,
+    12,
+    40,
+    640,
+    1024,
+    4096,
+    3 << 9,
+    37,
+];
+
+/// Small composite six-step sizes: square, ragged and odd splits.
+const SIXSTEP_LENS: [usize; 5] = [36, 240, 640, 1024, 4096];
 
 /// Deterministic finite values in [-1, 1); same xorshift as the bench
 /// signal generator so failures reproduce from `(len, seed)` alone.
@@ -201,9 +230,97 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// FFT combine butterflies: dispatcher == scalar reference, bitwise,
+    /// over column counts that exercise the odd-column tail and batches
+    /// of single-column blocks (the block-pair vector lanes).
+    #[test]
+    fn fft_combine_parity(
+        which in 0usize..4,
+        m in 1usize..12,
+        blocks in 1usize..5,
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let r = [2, 4, 5, 8][which];
+        let tw = vec_c64((r - 1) * m, seed ^ 0x7777);
+        let x = vec_c64(r * m * blocks, seed);
+        let mut a = x.clone();
+        let mut b = x;
+        match r {
+            2 => {
+                simd::radix2_c64(&mut a, m, &tw);
+                butterfly::radix2_scalar(&mut b, m, &tw);
+            }
+            4 => {
+                simd::radix4_c64(&mut a, m, &tw);
+                butterfly::radix4_scalar(&mut b, m, &tw);
+            }
+            5 => {
+                simd::radix5_c64(&mut a, m, &tw);
+                butterfly::radix5_scalar(&mut b, m, &tw);
+            }
+            _ => {
+                simd::radix8_c64(&mut a, m, &tw);
+                butterfly::radix8_scalar(&mut b, m, &tw);
+            }
+        }
+        prop_assert_eq!(bits64(&a), bits64(&b));
+    }
+
+    /// Whole `Plan<f64>` transforms: the dispatched path (AVX2 where
+    /// detected) == the plan pinned to its scalar butterflies, bitwise.
+    #[test]
+    fn plan_f64_parity(which in 0usize..PLAN_LENS.len(), seed in proptest::prelude::any::<u64>()) {
+        let n = PLAN_LENS[which];
+        let plan = Plan::<f64>::new(n);
+        let x = vec_c64(n, seed);
+        let mut scratch = plan.make_scratch();
+        let mut a = x.clone();
+        plan.forward_with_scratch(&mut a, &mut scratch);
+        let mut b = x;
+        plan.forward_scalar_with_scratch(&mut b, &mut scratch);
+        prop_assert_eq!(bits64(&a), bits64(&b));
+    }
+
+    /// `SixStepFft`, every Fig 10 rung, with and without the fused
+    /// demodulation diagonal: dispatched == scalar-pinned, bitwise.
+    #[test]
+    fn sixstep_parity(
+        rung in 0usize..4,
+        which in 0usize..SIXSTEP_LENS.len(),
+        scaled in proptest::prelude::any::<bool>(),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let n = SIXSTEP_LENS[which];
+        let variant = SixStepVariant::LADDER[rung];
+        let pool = match variant {
+            SixStepVariant::FusedParallel => Pool::new(2),
+            _ => Pool::serial(),
+        };
+        let plan = SixStepFft::with_pool(n, variant, pool);
+        let x = vec_c64(n, seed);
+        let scale = vec_c64(n, seed ^ 0x5ca1e);
+        let mut scratch = plan.make_scratch();
+        let mut aux = vec![c64::ZERO; n];
+        let mut a = x.clone();
+        let mut b = x;
+        if scaled {
+            plan.forward_scaled_with(&mut a, &mut aux, &scale, &mut scratch);
+            plan.forward_scalar_with(&mut b, &mut aux, Some(&scale), &mut scratch);
+        } else {
+            plan.forward_with(&mut a, &mut aux, &mut scratch);
+            plan.forward_scalar_with(&mut b, &mut aux, None, &mut scratch);
+        }
+        prop_assert_eq!(bits64(&a), bits64(&b));
+    }
+}
+
 /// The generic hot-kernel entry points (`kernels::dot`, `::mul_pointwise`,
-/// `::axpy_pointwise`) route through the same dispatchers — spot-check the
-/// chain end to end so a future refactor can't silently fork the paths.
+/// `::axpy_pointwise`, `butterfly::radix8`) route through the same
+/// dispatchers — spot-check the chain end to end so a future refactor
+/// can't silently fork the paths.
 #[test]
 fn generic_entry_points_route_through_dispatchers() {
     let t = vec_c64(37, 7);
@@ -219,5 +336,12 @@ fn generic_entry_points_route_through_dispatchers() {
     let mut b = a.clone();
     kernels::mul_pointwise(&mut a, &t);
     simd::mul_pointwise_c64(&mut b, &t);
+    assert_eq!(bits64(&a), bits64(&b));
+
+    let tw = vec_c64(7 * 3, 17);
+    let mut a = vec_c64(8 * 3 * 2, 19);
+    let mut b = a.clone();
+    butterfly::radix8(&mut a, 3, &tw);
+    simd::radix8_c64(&mut b, 3, &tw);
     assert_eq!(bits64(&a), bits64(&b));
 }
